@@ -10,7 +10,7 @@ acquisition maximizers, synthetic benchmarks, and a reproducible
 experiment CLI.
 """
 
-from .benchmarks import Benchmark, forrester, get_benchmark, grid_minimum, noisy_eval, sinusoid_quadratic
+from .benchmarks import Benchmark, forrester, get_benchmark, grid_minimum, sinusoid_quadratic
 from .calibration import CalibratedClassifier, IsotonicFit, isotonic_fit, platt_apply, platt_fit
 from .forest import ForestClassifier, ForestConfig, fit_forest_classifier
 from .kde import Kde, ToyMixture, normal_reference_bandwidth, tpe_suggest

@@ -16,7 +16,6 @@ __all__ = [
     "Benchmark",
     "grid_minimum",
     "get_benchmark",
-    "noisy_eval",
     "BENCHMARK_NAMES",
 ]
 
@@ -95,11 +94,3 @@ def get_benchmark(name: str, noise_std: float | None = None) -> Benchmark:
                           bench.minimum_value, bench.minimum_location)
     return bench
 
-
-def noisy_eval(bench: Benchmark, x, rng: np.random.Generator) -> float:
-    """One noisy observation f(x) + N(0, noise_std^2) from the given seed stream."""
-    x = np.asarray(x, dtype=float)
-    y = bench.fn(float(x[0]) if x.ndim else float(x))
-    if bench.noise_std > 0:
-        y += bench.noise_std * rng.standard_normal()
-    return float(y)

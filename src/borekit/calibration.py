@@ -145,10 +145,7 @@ class CalibratedClassifier:
         self.calibrator = calibrator
 
     def predict(self, x) -> float:
-        s = self.base.predict(x)
-        if self.method == "platt":
-            return float(platt_apply(self.calibrator, np.array([s]))[0])
-        return float(self.calibrator.predict(s))
+        return float(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         s = self.base.predict_batch(X)

@@ -14,6 +14,7 @@ a manifest re-run reproduces the same outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,20 +33,19 @@ from .space import Continuous, LabeledSet, SearchSpace
 
 METHODS = ("bore-mlp", "bore-rf", "tpe", "random")
 
-MLP_DEFAULTS = {
-    "hidden_widths": [32, 32],
-    "activation": None,
-    "batch_size": 64,
-    "steps_per_iteration": 100,
-    "learning_rate": 1e-3,
-}
 
-FOREST_DEFAULTS = {
-    "n_trees": 100,
-    "min_samples_split": 2,
-    "max_depth": None,
-    "bootstrap": True,
-    "features_per_split": "all",
+def _defaults(config_cls, exposed: tuple[str, ...]) -> dict:
+    """The dataclass defaults of the fields a run configuration may set."""
+    return {f.name: f.default for f in dataclasses.fields(config_cls) if f.name in exposed}
+
+
+# bore method -> (run_bore classifier kind, run_bore keyword, config class, defaults);
+# seed and the Adam constants stay unexposed, the run seed drives the classifier
+BORE_CLASSIFIERS = {
+    "bore-mlp": ("mlp", "mlp_config", MlpConfig, _defaults(MlpConfig, (
+        "hidden_widths", "activation", "batch_size", "steps_per_iteration", "learning_rate"))),
+    "bore-rf": ("rf", "forest_config", ForestConfig, _defaults(ForestConfig, (
+        "n_trees", "min_samples_split", "max_depth", "bootstrap", "features_per_split"))),
 }
 
 
@@ -111,8 +111,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("maximizer max_evals must be >= 1")
 
     classifier = dict(raw.get("classifier", {}))
-    if method in ("bore-mlp", "bore-rf"):
-        defaults = MLP_DEFAULTS if method == "bore-mlp" else FOREST_DEFAULTS
+    if method in BORE_CLASSIFIERS:
+        *_, defaults = BORE_CLASSIFIERS[method]
         unknown = set(classifier) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown classifier fields for {method}: {sorted(unknown)}")
@@ -156,31 +156,12 @@ def run_single_seed(config: dict, seed: int) -> Path:
     method = config["method"]
     budget = MaximizerBudget(method=config["maximizer"]["method"],
                              max_evals=config["maximizer"]["max_evals"])
-    if method == "bore-mlp":
-        cfg = config["classifier"]
-        trace = run_bore(problem, gamma=config["gamma"], classifier="mlp",
-                         n_init=config["n_init"], n_iterations=config["n_iterations"],
-                         seed=seed, budget=budget,
-                         mlp_config=MlpConfig(
-                             hidden_widths=tuple(cfg["hidden_widths"]),
-                             activation=cfg["activation"],
-                             batch_size=cfg["batch_size"],
-                             steps_per_iteration=cfg["steps_per_iteration"],
-                             learning_rate=cfg["learning_rate"],
-                         ))
-    elif method == "bore-rf":
-        cfg = config["classifier"]
-        fps = cfg["features_per_split"]
-        trace = run_bore(problem, gamma=config["gamma"], classifier="rf",
+    if method in BORE_CLASSIFIERS:
+        kind, keyword, config_cls, _ = BORE_CLASSIFIERS[method]
+        trace = run_bore(problem, gamma=config["gamma"], classifier=kind,
                          n_init=config["n_init"], n_iterations=config["n_iterations"],
                          seed=seed, budget=budget, calibration=config["calibration"],
-                         forest_config=ForestConfig(
-                             n_trees=cfg["n_trees"],
-                             min_samples_split=cfg["min_samples_split"],
-                             max_depth=cfg["max_depth"],
-                             bootstrap=cfg["bootstrap"],
-                             features_per_split=fps if isinstance(fps, str) else int(fps),
-                         ))
+                         **{keyword: config_cls(**config["classifier"])})
     elif method == "tpe":
         trace = run_tpe(problem, gamma=config["gamma"], n_init=config["n_init"],
                         n_iterations=config["n_iterations"],

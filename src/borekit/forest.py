@@ -89,7 +89,10 @@ def _best_threshold_split(col: np.ndarray, z: np.ndarray):
     impurity = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
     impurity = np.where(valid, impurity, np.inf)
     i = int(np.argmin(impurity))
-    return float(impurity[i]), (v[i] + v[i + 1]) / 2.0
+    # the midpoint of two adjacent doubles can round up to the larger one,
+    # which would send the whole node left and never stop splitting
+    mid = (v[i] + v[i + 1]) / 2.0
+    return float(impurity[i]), (mid if mid < v[i + 1] else v[i])
 
 
 def _best_subset_split(col: np.ndarray, z: np.ndarray, arity: int):
@@ -224,10 +227,6 @@ class ForestClassifier:
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.predict(x) for x in X])
-
-    def per_tree_predictions(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([tree.predict(x) for tree in self.trees])
 
     def oob_scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-bag scores and labels for samples left out by >= 1 tree."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import _sigmoid
 from .space import Categorical, LabeledSet, SearchSpace
 
 __all__ = ["MlpConfig", "MlpClassifier", "FeatureEncoder", "epochs_for_iteration"]
@@ -97,15 +98,6 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 class MlpClassifier:
     """Small sigmoid-output network over encoded points.
 
@@ -123,21 +115,26 @@ class MlpClassifier:
         self._rng = np.random.default_rng(self.config.seed)
 
         sizes = [self.encoder.width, *self.config.hidden_widths, 1]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            last = i == len(sizes) - 2
-            w = np.zeros((fan_in, fan_out)) if last else \
-                self._rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+        self._shapes = list(zip(sizes[:-1], sizes[1:]))
+        self._flat = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in self._shapes))
+        self.weights, self.biases = self._views(self._flat)
+        for w in self.weights[:-1]:
+            w[...] = self._rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
 
-        self._m = [np.zeros_like(p) for p in self._params()]
-        self._v = [np.zeros_like(p) for p in self._params()]
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
         self._t = 0
 
-    def _params(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases]
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a flat buffer: all weights, then all biases."""
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in self._shapes:
+            weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+        for _, fan_out in self._shapes:
+            biases.append(flat[offset:offset + fan_out])
+            offset += fan_out
+        return weights, biases
 
     # --- forward / predict -------------------------------------------------
 
@@ -184,72 +181,60 @@ class MlpClassifier:
         z = np.asarray(data.zs, dtype=float)
         return float(np.mean(np.logaddexp(0.0, logits) - z * logits))
 
-    def gradient(self, X, z) -> list[np.ndarray]:
-        """Exact gradient of the mean log loss on the batch, ordered like weights + biases."""
+    def gradient(self, X, z) -> np.ndarray:
+        """Exact gradient of the mean log loss on the batch, laid out like the flat parameters."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         z = np.asarray(z, dtype=float)
         if len(z) == 0:
             raise ValueError("gradient of an empty batch")
         feats = self.encoder.transform(X)
         logits, pre, post = self._forward(feats)
-        delta = ((_sigmoid(logits) - z) / len(z))[:, None]
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        grads_w[-1] = post[-1].T @ delta
-        grads_b[-1] = delta.sum(axis=0)
-        d = delta @ self.weights[-1].T
-        for i in range(len(self.weights) - 2, -1, -1):
-            d = d * _act_grad(self.activation, pre[i])
-            grads_w[i] = post[i].T @ d
-            grads_b[i] = d.sum(axis=0)
-            d = d @ self.weights[i].T
-        return [*grads_w, *grads_b]
+        grad = np.empty_like(self._flat)
+        grads_w, grads_b = self._views(grad)
+        d = ((_sigmoid(logits) - z) / len(z))[:, None]
+        for i in range(len(self.weights) - 1, -1, -1):
+            grads_w[i][...] = post[i].T @ d
+            grads_b[i][...] = d.sum(axis=0)
+            if i:
+                d = (d @ self.weights[i].T) * _act_grad(self.activation, pre[i - 1])
+        return grad
 
     # --- training ----------------------------------------------------------
 
-    def _adam_step(self, grads: list[np.ndarray]) -> None:
+    def _adam_step(self, grad: np.ndarray) -> None:
         c = self.config
         self._t += 1
         bias1 = 1.0 - c.beta1 ** self._t
         bias2 = 1.0 - c.beta2 ** self._t
-        for p, g, m, v in zip(self._params(), grads, self._m, self._v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            p -= c.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + c.epsilon)
+        self._m = c.beta1 * self._m + (1.0 - c.beta1) * grad
+        self._v = c.beta2 * self._v + (1.0 - c.beta2) * grad * grad
+        self._flat -= c.learning_rate * (self._m / bias1) / (np.sqrt(self._v / bias2) + c.epsilon)
 
     def fit(self, data: LabeledSet, steps: int | None = None) -> float:
         """Run exactly ``steps`` Adam steps (default: the configured count) over
-        reshuffled mini-batches, warm-starting from the current weights.
-        Returns the full-set log loss after training."""
+        mini-batches reshuffled every epoch, warm-starting from the current
+        weights. Returns the full-set log loss after training."""
         z = np.asarray(data.zs, dtype=int)
         if len(np.unique(z)) < 2:
             raise ValueError("training data must contain both classes")
         steps = steps if steps is not None else self.config.steps_per_iteration
         X = np.asarray(data.xs, dtype=float)
-        n = len(z)
         b = self.config.batch_size
-        done = 0
-        while done < steps:
-            order = self._rng.permutation(n)
-            for start in range(0, n, b):
-                if done >= steps:
-                    break
-                batch = order[start:start + b]
-                self._adam_step(self.gradient(X[batch], z[batch]))
-                done += 1
+        batches, _ = epochs_for_iteration(steps, b, len(z))
+        for step in range(steps):
+            k = step % batches
+            if k == 0:
+                order = self._rng.permutation(len(z))
+            batch = order[k * b:(k + 1) * b]
+            self._adam_step(self.gradient(X[batch], z[batch]))
         return self.loss(data)
 
     # --- introspection helpers ---------------------------------------------
 
     def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self._params()])
+        return self._flat.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self._params():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != flat.size:
+        if np.shape(flat) != self._flat.shape:
             raise ValueError("flat parameter vector has the wrong length")
+        self._flat[...] = flat

@@ -186,7 +186,7 @@ def test_08_gradient_correctness():
         X = rng.uniform(-1, 1, size=(6, dim))
         z = rng.integers(0, 2, 6)
         data = LabeledSet(xs=X, zs=z, tau=0.0, gamma=0.5)
-        grads = np.concatenate([g.ravel() for g in clf.gradient(X, z)])
+        grads = clf.gradient(X, z)
 
         flat = clf.get_flat_params().copy()
         fd = np.zeros_like(flat)

@@ -6,9 +6,9 @@ from borekit.benchmarks import (
     forrester,
     get_benchmark,
     grid_minimum,
-    noisy_eval,
     sinusoid_quadratic,
 )
+from borekit.loop import Problem, run_random_search
 
 # frozen from the dense-grid + local-refinement oracle
 FORRESTER_MIN = -6.020740
@@ -72,22 +72,31 @@ class TestGridOracle:
         assert loc == pytest.approx(0.321, abs=1e-5)
 
 
+def noise_draws(bench, n_evals, seed):
+    """Observation noise y - f(x) of a random-search run on the benchmark."""
+    problem = Problem(objective=lambda x: bench.fn(float(x[0])), space=bench.space,
+                      noise_std=bench.noise_std)
+    trace = run_random_search(problem, n_evals, seed)
+    return np.array([r.y - bench.fn(float(r.x[0])) for r in trace.records])
+
+
 class TestNoisyEval:
+    """The loop's own noise path: observations are f(x) + N(0, noise_std^2)."""
+
     def test_noise_free(self):
         bench = get_benchmark("forrester", noise_std=0.0)
-        rng = np.random.default_rng(0)
-        assert noisy_eval(bench, np.array([0.5]), rng) == forrester(0.5)
+        assert np.all(noise_draws(bench, 20, seed=0) == 0.0)
 
     def test_noise_scale(self):
         bench = get_benchmark("sinusoid")  # default sigma = 0.2
-        rng = np.random.default_rng(1)
-        draws = np.array([noisy_eval(bench, np.array([0.3]), rng) for _ in range(100_000)])
+        draws = noise_draws(bench, 100_000, seed=1)
         assert np.std(draws) == pytest.approx(0.2, rel=0.02)
 
     def test_deterministic_per_stream(self):
         bench = get_benchmark("forrester")
-        a = [noisy_eval(bench, np.array([0.2]), np.random.default_rng(3)) for _ in range(2)]
-        assert a[0] == a[1]
+        a, b = (noise_draws(bench, 20, seed=3) for _ in range(2))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, noise_draws(bench, 20, seed=4))
 
     def test_default_noise_levels(self):
         assert get_benchmark("forrester").noise_std == 0.05

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from borekit.calibration import CalibratedClassifier
-from borekit.forest import ForestClassifier, ForestConfig, _Tree, fit_forest_classifier
+from borekit.forest import ForestClassifier, ForestConfig, _Tree, _best_threshold_split, fit_forest_classifier
 from borekit.kde import ToyMixture
 from borekit.space import Categorical, Continuous, LabeledSet, SearchSpace
 
@@ -65,6 +65,24 @@ class TestForestFit:
             ForestConfig(features_per_split="half")
 
 
+class TestAdjacentDoubles:
+    """Two adjacent doubles whose midpoint rounds up to the larger one."""
+
+    A = np.nextafter(1.0, 2.0)
+    B = np.nextafter(A, 2.0)
+
+    def test_threshold_separates_the_pair(self):
+        assert (self.A + self.B) / 2.0 == self.B
+        _, threshold = _best_threshold_split(np.array([self.A, self.B]), np.array([0.0, 1.0]))
+        assert self.A <= threshold < self.B
+
+    def test_two_point_fit_completes(self):
+        space = SearchSpace((Continuous(0.0, 2.0),))
+        data = labeled([self.A, self.B], [0, 1])
+        forest = ForestClassifier(space, ForestConfig(n_trees=1, bootstrap=False)).fit(data)
+        assert forest.predict_batch(data.xs).tolist() == [0.0, 1.0]
+
+
 class TestForestPredict:
     def test_unanimous_trees(self):
         forest = ForestClassifier(SPACE_1D, ForestConfig(n_trees=5))
@@ -87,7 +105,7 @@ class TestForestPredict:
         forest = ForestClassifier(SPACE_1D, ForestConfig(seed=3, n_trees=25)).fit(labeled(x, z))
         for xv in np.linspace(-5, 5, 21):
             point = np.array([xv])
-            per_tree = forest.per_tree_predictions(point)
+            per_tree = np.array([tree.predict(point) for tree in forest.trees])
             p = forest.predict(point)
             assert per_tree.min() - 1e-12 <= p <= per_tree.max() + 1e-12
             assert 0.0 <= p <= 1.0

@@ -122,7 +122,7 @@ class TestGradient:
             X = rng.uniform([0, -2], [1, 2], size=(5, 2))
             z = rng.integers(0, 2, 5)
             z[0] = 1 - z[1]  # keep both classes around
-            grads = np.concatenate([g.ravel() for g in clf.gradient(X, z)])
+            grads = clf.gradient(X, z)
             fd = finite_difference_gradient(clf, labeled(X, z))
             # entries below ~1e-6 are dominated by the oracle's own
             # cancellation noise (eps/h) and say nothing about backprop
@@ -136,18 +136,28 @@ class TestGradient:
         clf.set_flat_params(rng.normal(0, 0.5, clf.get_flat_params().shape))
         X = rng.uniform(0, 1, size=(4, 1))
         z = np.array([1, 0, 1, 0])
-        single = np.concatenate([g.ravel() for g in clf.gradient(X, z)])
-        doubled = np.concatenate([g.ravel() for g in clf.gradient(np.vstack([X, X]),
-                                                                  np.concatenate([z, z]))])
+        single = clf.gradient(X, z)
+        doubled = clf.gradient(np.vstack([X, X]), np.concatenate([z, z]))
         assert np.allclose(single, doubled, atol=1e-15)
 
     def test_stationary_under_extreme_confidence(self):
         space = SearchSpace((Continuous(0, 1),))
         clf = MlpClassifier(space, MlpConfig(seed=5))
         clf.biases[-1][0] = 60.0
-        grads = np.concatenate([g.ravel() for g in clf.gradient(np.array([[0.3], [0.7]]),
-                                                                np.array([1, 1]))])
+        grads = clf.gradient(np.array([[0.3], [0.7]]), np.array([1, 1]))
         assert np.linalg.norm(grads) < 1e-12
+
+
+class TestFlatParams:
+    def test_layout_weights_then_biases(self):
+        clf = MlpClassifier(SearchSpace((Continuous(0, 1),)), MlpConfig(hidden_widths=(3,), seed=0))
+        flat = np.arange(clf.get_flat_params().size, dtype=float)
+        clf.set_flat_params(flat)
+        layers = [*clf.weights, *clf.biases]
+        assert np.array_equal(np.concatenate([p.ravel() for p in layers]), flat)
+        with pytest.raises(ValueError):
+            clf.set_flat_params(flat[:-1])
+        assert np.array_equal(clf.get_flat_params(), flat)
 
 
 class TestFit:
